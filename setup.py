@@ -1,8 +1,8 @@
-"""Setup shim.
+"""Package metadata and install requirements.
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works in
-offline environments whose pip/setuptools cannot build PEP 517 editable
-wheels (no ``wheel`` package available). Metadata lives in pyproject.toml.
+The project's only packaging file: a plain setuptools script, so that
+``pip install -e .`` also works offline with a pip/setuptools that cannot
+build PEP 517 editable wheels (no ``wheel`` package available).
 """
 
 from setuptools import find_packages, setup

@@ -113,9 +113,8 @@ class TaskBatch:
     """K same-round tasks shipped to the backend as one unit.
 
     ``tasks[i]`` is bound for ``worker_ids[i]``; each task keeps its own
-    per-task ``fn`` so backends without fused execution (and fused
-    backends degrading on error) run the batch task by task with
-    unchanged semantics.
+    per-task ``fn`` so backends without fused execution run the batch
+    task by task with unchanged semantics.
 
     ``fused_fn``, when present, executes the whole batch in one host
     call: it receives ``[(index, env), ...]`` in the exact order the

@@ -242,17 +242,9 @@ class SimBackend(Backend):
             for i in order
             if self._workers[batch.worker_ids[i]].alive
         ]
-        outcomes: dict[int, FusedOutcome]
-        try:
-            outcomes = batch.fused_fn(ordered) if ordered else {}
-        except Exception:  # pragma: no cover - fused runners degrade per task
-            # Defensive: discard any half-recorded accounting, then fall
-            # back to plain per-task execution.
-            for _, env in ordered:
-                env.consume_cost_units()
-                env.consume_fetch_bytes()
-            super().submit_batch(batch)
-            return
+        # A failing fused runner is a bug, not a task failure: it raises
+        # (per-task errors come back inside the outcomes).
+        outcomes = batch.fused_fn(ordered) if ordered else {}
         for i, (task, worker_id) in enumerate(zip(batch.tasks, batch.worker_ids)):
             self._pending += 1
             ev = self.queue.push(

@@ -107,9 +107,10 @@ def _fused_reduce_factory(rdd: MappedRDD, f: Callable[[Any, Any], Any]):
        fills and history fetches land where per-task execution would put
        them), capturing the recorded cost/fetch accounting per task.
     2. Group tasks whose resolved state is the same object and run one
-       stacked kernel call per group; a failing batch call degrades to
-       per-block scalar kernel calls over the already-materialized
-       blocks.
+       stacked kernel call per group. A failing batch call raises out of
+       the runner: ``batch`` must equal the scalar kernel bit for bit, so
+       an error there is a bug to surface, not a reason to quietly rerun
+       the round per task.
     3. Fold each task's element values with ``f`` exactly as the
        per-task closure would, then apply ``post`` under the task's env.
     """
@@ -147,12 +148,7 @@ def _fused_reduce_factory(rdd: MappedRDD, f: Callable[[Any, Any], Any]):
                 state = group[0][2]
                 blocks = [b for _, _, _, bs in group for b in bs]
                 t0 = perf_counter()
-                values: list | None = None
-                if blocks:
-                    try:
-                        values = kernel.batch(state, blocks)
-                    except Exception:  # noqa: BLE001 - degrade per task
-                        values = None
+                values = kernel.batch(state, blocks) if blocks else []
                 share_ms = ((perf_counter() - t0) * 1000.0) / len(group)
                 pos = 0
                 for i, env, _, bs in group:
@@ -160,14 +156,9 @@ def _fused_reduce_factory(rdd: MappedRDD, f: Callable[[Any, Any], Any]):
                     t1 = perf_counter()
                     try:
                         with task_env(env):
-                            elems = (
-                                values[pos : pos + len(bs)]
-                                if values is not None
-                                else [kernel(b) for b in bs]
-                            )
                             acc: Any = _EMPTY
                             count = 0
-                            for elem in elems:
+                            for elem in values[pos : pos + len(bs)]:
                                 count += 1
                                 acc = elem if acc is _EMPTY else f(acc, elem)
                             value = (None if acc is _EMPTY else acc, count)

@@ -29,8 +29,7 @@ class StackedKernel:
     """A map kernel that can execute a whole round's blocks in one call.
 
     Calling the kernel (``kernel(block)``) is the scalar element path —
-    what unfused backends and the fused runner's per-task degradation
-    execute. The two extra hooks power fused rounds
+    what unfused backends execute. The two extra hooks power fused rounds
     (:meth:`~repro.cluster.backend.Backend.submit_batch`):
 
     - ``prepare(env)`` resolves the per-task state the kernel closes over

@@ -4,10 +4,13 @@ All objectives have the finite-sum form of the paper's Eq. (1)/(2):
 
     F(w) = (1/n) sum_j f_j(w)  [+ (lam/2) ||w||^2]
 
-with per-sample losses f_j. The distributed algorithms only ever call the
-vectorized block kernel ``grad_sum(X, y, w)`` (sum of per-sample gradients
-over a block), which is a single BLAS / sparse matvec pair per task — no
-per-row Python, per the HPC guides.
+with per-sample losses f_j. The distributed algorithms call vectorized
+block kernels, never per-row Python: ``grad_sum(X, y, w)`` (sum of
+per-sample gradients over a block) is one BLAS / sparse matvec pair on a
+whole block, and ``grad_sum_csr_rows`` is the same pair as two
+``np.bincount`` passes over a handful of gathered CSR rows — SAGA's
+per-task history kernel, where building a scipy matrix per call would
+cost more than the arithmetic.
 
 Exact optima (via normal equations or high-precision batch optimization)
 give the error curves ``F(w) - F*`` that every figure of the paper plots.
@@ -188,6 +191,21 @@ class LeastSquaresProblem(Problem):
             return np.asarray(2.0 * (X.T @ r)).ravel()
         return 2.0 * (X.T @ r)
 
+    def grad_sum_csr_rows(self, data, cols, rowid, y, w):
+        """``grad_sum`` over CSR rows gathered as raw nonzero arrays.
+
+        ``data``/``cols`` are the rows' nonzeros in storage order and
+        ``rowid`` each nonzero's row (``0..len(y)-1``, non-decreasing).
+        Bitwise equal to ``grad_sum`` on the equivalent CSR matrix:
+        scipy's ``csr_matvec`` sums each row's products from 0.0 in
+        storage order, and ``X.T @ r`` is a CSC view whose ``csc_matvec``
+        walks the same nonzeros in the same order, adding into each
+        column from 0.0. ``np.bincount`` adds its weights into each bin
+        from 0.0 in input order — the same sums, term for term.
+        """
+        r = np.bincount(rowid, weights=data * w[cols], minlength=len(y)) - y
+        return 2.0 * np.bincount(cols, weights=data * r[rowid], minlength=len(w))
+
     def grad_sum_stacked(self, X, y, w, bounds):
         segs = _row_segments(X, bounds)
         xw = np.empty(int(bounds[-1]), dtype=np.result_type(X.dtype, w.dtype))
@@ -271,6 +289,12 @@ class LogisticRegressionProblem(Problem):
         if sparse.issparse(X):
             return np.asarray(X.T @ coef).ravel()
         return X.T @ coef
+
+    def grad_sum_csr_rows(self, data, cols, rowid, y, w):
+        """``grad_sum`` over gathered CSR rows (see the least-squares twin)."""
+        xw = np.bincount(rowid, weights=data * w[cols], minlength=len(y))
+        coef = -y * self._sigmoid(-y * xw)
+        return np.bincount(cols, weights=data * coef[rowid], minlength=len(w))
 
     def grad_sum_stacked(self, X, y, w, bounds):
         segs = _row_segments(X, bounds)

@@ -200,6 +200,19 @@ class SagaState:
         return w
 
 
+def _gather_csr_rows(X, idx: np.ndarray):
+    """Nonzeros of CSR rows ``idx`` as ``(data, cols, rowid)`` arrays.
+
+    ``rowid[j]`` is the position in ``idx`` of nonzero ``j``'s row; the
+    nonzeros keep ``X[idx]``'s storage order, without building it.
+    """
+    starts = X.indptr[idx]
+    lens = X.indptr[idx + 1] - starts
+    rowid = np.repeat(np.arange(len(idx)), lens)
+    pos = np.arange(len(rowid)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return X.data[pos], X.indices[pos], rowid
+
+
 def saga_partition_kernel(
     problem: Problem,
     block: MatrixBlock,
@@ -214,6 +227,12 @@ def saga_partition_kernel(
     and historical gradients at each row's stored version (vectorized per
     distinct version), then advances the rows' stored versions. Returns
     ``(grad_new_sum, grad_old_sum, batch_size)``.
+
+    Sparse blocks gather the batch's nonzeros once and run every gradient
+    on those raw arrays (``Problem.grad_sum_csr_rows``): a task touches a
+    handful of rows, and building a scipy matrix per version group costs
+    far more than the arithmetic. Dense blocks keep BLAS ``grad_sum`` on
+    row slices of the gathered batch.
     """
     env = current_env()
     versions = None if env is None else env.get(state_key)
@@ -227,17 +246,34 @@ def saga_partition_kernel(
     rng = spawn_generator(sample_seed, "saga-batch", block.block_id)
     idx = block.sample_indices(batch_fraction, rng)
     idx = np.sort(idx)
-    sub = block.take_rows(idx)
+    k = len(idx)
+    y = block.y[idx]
+    row_versions = versions[idx]
 
     w_cur = handle.current()
-    g_new = problem.grad_sum(sub.X, sub.y, w_cur)
+    if block.is_sparse:
+        data, cols, rowid = _gather_csr_rows(block.X, idx)
+        g_new = problem.grad_sum_csr_rows(data, cols, rowid, y, w_cur)
+        # MatrixBlock.cost_units() of the k-row sub-block, unbuilt.
+        cost = k * (len(data) / k) / max(block.dim, 1) if k else 0.0
+
+        def group_grad(mask: np.ndarray, w_v: np.ndarray) -> np.ndarray:
+            nz = mask[rowid]
+            local = np.cumsum(mask) - 1
+            return problem.grad_sum_csr_rows(
+                data[nz], cols[nz], local[rowid[nz]], y[mask], w_v
+            )
+    else:
+        X = block.X[idx]
+        g_new = problem.grad_sum(X, y, w_cur)
+        cost = float(k)
+
+        def group_grad(mask: np.ndarray, w_v: np.ndarray) -> np.ndarray:
+            return problem.grad_sum(X[mask], y[mask], w_v)
 
     g_old = np.zeros(problem.dim)
-    row_versions = versions[idx]
     for v in np.unique(row_versions):
-        rows = idx[row_versions == v]
-        w_v = handle.at(int(v))
-        g_old = g_old + problem.grad_sum(block.X[rows], block.y[rows], w_v)
+        g_old = g_old + group_grad(row_versions == v, handle.at(int(v)))
 
     versions[idx] = handle.version
     # This block will never again reference a version below its stored
@@ -245,8 +281,8 @@ def saga_partition_kernel(
     # up to the floor across all blocks.
     handle.report_watermark(block.block_id, int(versions.min()))
     # SAGA does two gradient passes over the batch (fresh + historical).
-    record_cost(2.0 * sub.cost_units())
-    return g_new, g_old, int(len(idx))
+    record_cost(2.0 * cost)
+    return g_new, g_old, k
 
 
 def initialize_history(

@@ -7,6 +7,11 @@ captured on main immediately before the refactor (same specs, same
 seeds, Sim and Thread backends) — any numerical or scheduling drift in
 the refactored path changes a digest and fails loudly.
 
+The ``*_sparse`` digests pin the CSR history kernel the same way: they
+were captured before the sparse SAGA kernel moved from per-version
+scipy row slicing to one row gather per task with bincount matvecs, and
+that rewrite must leave them unchanged.
+
 The weight-aware tests pin the *new* behavior: ASAGA/ASVRG consume
 ``record.weight`` inside their variance-reduction mathematics (damping
 the stale innovation) instead of the loop's generic alpha scaling.
@@ -19,7 +24,7 @@ import pytest
 
 from repro.api import run_experiment
 from repro.cluster.threadbackend import ThreadBackend
-from repro.data.synthetic import make_dense_regression
+from repro.data.synthetic import make_dense_regression, make_sparse_regression
 from repro.engine.context import ClusterContext
 from repro.optim import (
     AsyncSAGA,
@@ -39,10 +44,15 @@ PINNED_SIM = {
     "asaga_partition": "626360377aecb1e61b722524613accb9",
     "svrg": "37deda3a7282c8fbe6ba84df34992ab8",
     "asvrg": "e05eee11ff930e8c04fb7f80dfc54aa3",
+    # Captured on main @ aee34c1, before the CSR row-gather kernel.
+    "saga_sparse": "8c459f4158816ec68fa4b057d07de3aa",
+    "asaga_sparse": "c2a7eef0d98bc0bbf4ba74f57be82ccf",
+    "asaga_sparse_partition": "d7b6f1e2b9228c74cef04a9b7e503ff3",
 }
 PINNED_THREAD = {
     "asaga_thread": "02d2c7b882cfc18c2d8584b6138c702e",
     "asvrg_thread": "c16dc078303437ed41ccff7bb7740d5a",
+    "asaga_sparse_thread": "878423048c19895e0e01ae371a38f45d",
 }
 
 SIM_SPECS = {
@@ -76,6 +86,21 @@ SIM_SPECS = {
         "num_partitions": 8, "delay": "cds:0.6", "max_updates": 36,
         "eval_every": 4, "seed": 3, "params": {"inner_iterations": 6},
     },
+    "saga_sparse": {
+        "algorithm": "saga", "dataset": "tiny_sparse", "num_workers": 4,
+        "num_partitions": 8, "delay": "cds:0.6", "max_updates": 30,
+        "eval_every": 5, "seed": 3,
+    },
+    "asaga_sparse": {
+        "algorithm": "asaga", "dataset": "tiny_sparse", "num_workers": 4,
+        "num_partitions": 8, "delay": "cds:0.6", "max_updates": 40,
+        "eval_every": 5, "seed": 3,
+    },
+    "asaga_sparse_partition": {
+        "algorithm": "asaga", "dataset": "tiny_sparse", "num_workers": 4,
+        "num_partitions": 8, "delay": "cds:0.6", "max_updates": 40,
+        "eval_every": 5, "seed": 3, "granularity": "partition",
+    },
 }
 
 
@@ -100,8 +125,8 @@ def test_sim_backend_trajectory_pinned(name):
     assert _full_digest(run_experiment(SIM_SPECS[name])) == PINNED_SIM[name]
 
 
-def _thread_run(cls, **kwargs):
-    X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
+def _thread_run(cls, data=None, **kwargs):
+    X, y, _ = data or make_dense_regression(128, 6, cond=4.0, seed=3)
     problem = LeastSquaresProblem(X, y)
     backend = ThreadBackend(num_workers=1)
     with ClusterContext(1, backend=backend, seed=0) as ctx:
@@ -116,6 +141,12 @@ def _thread_run(cls, **kwargs):
 def test_thread_backend_asaga_pinned():
     res = _thread_run(AsyncSAGA)
     assert _model_digest(res) == PINNED_THREAD["asaga_thread"]
+
+
+def test_thread_backend_asaga_sparse_pinned():
+    data = make_sparse_regression(128, 32, density=0.1, seed=3)
+    res = _thread_run(AsyncSAGA, data)
+    assert _model_digest(res) == PINNED_THREAD["asaga_sparse_thread"]
 
 
 def test_thread_backend_asvrg_pinned():

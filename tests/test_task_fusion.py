@@ -92,6 +92,33 @@ def test_fused_round_mid_kill_degrades_to_per_task_retry():
     assert np.array_equal(fused.w, unfused.w)
 
 
+def test_failing_fused_batch_raises(monkeypatch):
+    """A fused round whose stacked kernel raises fails the run; it does
+    not quietly rerun the round per task."""
+    from repro.engine.matrix import StackedKernel
+    from repro.optim.asgd import ASGDRule
+
+    make_kernel = ASGDRule.make_kernel
+    scalar_calls = []
+
+    def broken_make_kernel(self, handle, seed):
+        kernel = make_kernel(self, handle, seed)
+
+        def fn(block):
+            scalar_calls.append(block.block_id)
+            return kernel.fn(block)
+
+        def batch(state, blocks):
+            raise RuntimeError("injected fused-batch failure")
+
+        return StackedKernel(fn, kernel.prepare, batch)
+
+    monkeypatch.setattr(ASGDRule, "make_kernel", broken_make_kernel)
+    with pytest.raises(RuntimeError, match="injected fused-batch failure"):
+        _run(dict(BASE_SPEC, policy="bsp", max_updates=20))
+    assert scalar_calls == []
+
+
 def test_escape_hatch_disables_fusion():
     spec = dict(BASE_SPEC, policy="bsp", max_updates=80, fuse_tasks=False)
     _, result = _run(spec)
