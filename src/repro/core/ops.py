@@ -16,14 +16,16 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.cluster.backend import FusedOutcome, WorkerEnv
 from repro.core.barriers import BarrierPolicy, as_barrier
 from repro.core.stat import StatTable
+from repro.engine.matrix import StackedKernel, sample_rows
 from repro.engine.rdd import RDD, MappedRDD
 from repro.engine.taskcontext import task_env
+from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
 
-__all__ = ["BarrierRDD", "async_barrier", "async_reduce", "async_aggregate",
-           "find_barrier"]
+__all__ = ["BarrierRDD", "RoundPlan", "async_barrier", "async_reduce",
+           "async_aggregate", "find_barrier"]
 
 _EMPTY = object()
 
@@ -71,31 +73,56 @@ def find_barrier(rdd: RDD) -> BarrierPolicy | None:
     return None
 
 
+#: ``source(split, env)``: one partition's elements inside a task —
+#: ``rdd.iterator`` for an ad-hoc lineage, a round-bound closure for a
+#: :class:`RoundPlan`.
+ElementSource = Callable[[int, "WorkerEnv | None"], list]
+
+
+def _reduce_factory(rdd: RDD, f: Callable[[Any, Any], Any]):
+    """The task factory of an ad-hoc ``rdd.async_reduce(f)``: an uncached
+    ``map`` node folds its kernel into the task body, like a plan round."""
+    if isinstance(rdd, MappedRDD) and not rdd.cached:
+        return _worker_reduce_factory(rdd.deps[0].iterator, f, rdd.f)
+    return _worker_reduce_factory(rdd.iterator, f)
+
+
 def _worker_reduce_factory(
-    rdd: RDD, f: Callable[[Any, Any], Any]
+    source: ElementSource,
+    f: Callable[[Any, Any], Any],
+    kernel: Callable[[Any], Any] | None = None,
 ) -> Callable[[int, list[int]], Callable[[WorkerEnv], tuple[Any, int]]]:
+    """Task factory folding each task's elements with ``f``.
+
+    ``kernel``, when given, maps every element ``source`` yields first
+    (the lineage's ``map`` step). A :class:`StackedKernel` also attaches
+    the fused-round runner over the same source.
+    """
     def make_fn(worker_id: int, splits: list[int]):
         def fn(env: WorkerEnv) -> tuple[Any, int]:
             with task_env(env):
                 acc: Any = _EMPTY
                 count = 0
                 for split in splits:
-                    for elem in rdd.iterator(split, env):
+                    for elem in source(split, env):
+                        if kernel is not None:
+                            elem = kernel(elem)
                         count += 1
                         acc = elem if acc is _EMPTY else f(acc, elem)
                 return (None if acc is _EMPTY else acc, count)
 
         return fn
 
-    kernel = rdd.f if isinstance(rdd, MappedRDD) else None
-    if hasattr(kernel, "prepare") and hasattr(kernel, "batch"):
-        make_fn.fused = _fused_reduce_factory(rdd, f)
+    if isinstance(kernel, StackedKernel):
+        make_fn.fused = _fused_reduce_factory(kernel, source, f)
     return make_fn
 
 
-def _fused_reduce_factory(rdd: MappedRDD, f: Callable[[Any, Any], Any]):
-    """Fused-round runner for a mapped RDD whose kernel is a
-    :class:`~repro.engine.matrix.StackedKernel`.
+def _fused_reduce_factory(
+    kernel: StackedKernel, source: ElementSource, f: Callable[[Any, Any], Any]
+):
+    """Fused-round runner for a :class:`StackedKernel` mapped over the
+    blocks ``source(split, env)`` yields.
 
     ``make_fused(entries)`` builds the ``TaskBatch.fused_fn``:
     ``entries[i] = (worker_id, splits, post)`` describes batch slot ``i``
@@ -114,8 +141,6 @@ def _fused_reduce_factory(rdd: MappedRDD, f: Callable[[Any, Any], Any]):
     3. Fold each task's element values with ``f`` exactly as the
        per-task closure would, then apply ``post`` under the task's env.
     """
-    kernel = rdd.f
-    source = rdd.deps[0]
 
     def make_fused(entries: list[tuple[int, list[int], Any]]):
         def fused_fn(
@@ -132,7 +157,7 @@ def _fused_reduce_factory(rdd: MappedRDD, f: Callable[[Any, Any], Any]):
                     with task_env(env):
                         state = kernel.prepare(env)
                         for split in entries[i][1]:
-                            blocks.extend(source.iterator(split, env))
+                            blocks.extend(source(split, env))
                 except Exception as exc:  # noqa: BLE001 - forwarded
                     out.error = exc
                 out.cost_units = env.consume_cost_units()
@@ -183,7 +208,7 @@ def _fused_reduce_factory(rdd: MappedRDD, f: Callable[[Any, Any], Any]):
 
 
 def _worker_aggregate_factory(
-    rdd: RDD,
+    source: ElementSource,
     zero: Any,
     seq_op: Callable[[Any, Any], Any],
     comb_op: Callable[[Any, Any], Any],
@@ -197,8 +222,7 @@ def _worker_aggregate_factory(
                 count = 0
                 for split in splits:
                     part = copy.deepcopy(zero)
-                    elems = rdd.iterator(split, env)
-                    for elem in elems:
+                    for elem in source(split, env):
                         count += 1
                         part = seq_op(part, elem)
                     acc = part if acc is _EMPTY else comb_op(acc, part)
@@ -226,7 +250,7 @@ def async_reduce(
     """
     policy = find_barrier(rdd) or ac.default_barrier
     return ac.scheduler.submit_round(
-        rdd, _worker_reduce_factory(rdd, f), policy, granularity
+        rdd, _reduce_factory(rdd, f), policy, granularity
     )
 
 
@@ -241,6 +265,86 @@ def async_aggregate(
     """Worker-local aggregate with a neutral zero value (Table 1)."""
     policy = find_barrier(rdd) or ac.default_barrier
     return ac.scheduler.submit_round(
-        rdd, _worker_aggregate_factory(rdd, zero, seq_op, comb_op), policy,
-        granularity,
+        rdd, _worker_aggregate_factory(rdd.iterator, zero, seq_op, comb_op),
+        policy, granularity,
     )
+
+
+def _round_kernel(block: Any) -> Any:
+    """The map slot of a :class:`RoundPlan` lineage (bound per round)."""
+    raise EngineError(
+        "a RoundPlan's map kernel is bound per round; submit through "
+        "RoundPlan.reduce instead of evaluating the plan's lineage"
+    )
+
+
+class RoundPlan:
+    """The paper's per-update RDD chain, built once per run.
+
+    Algorithm 2 submits ``points.async_barrier(policy, stat)
+    [.sample(fraction)].map(kernel).async_reduce(f, AC)`` every update.
+    The chain's shape is the same every round; only the sample's seed,
+    the kernel (which closes over the round's model handle) and the
+    targets the policy picks change. The plan builds the lineage
+    (``rdd``) and resolves its barrier (``policy``) once; each round then
+    binds its own ``(kernel, seed)`` *by value* into fresh task closures
+    that read partitions straight from ``points`` (through its cache)
+    and row-sample them with :func:`~repro.engine.matrix.sample_rows`,
+    the helper :class:`~repro.engine.matrix.SampledMatrixRDD` computes
+    with — same generators, same rows, same floats. A task of round
+    ``r`` that executes after round ``r + 1`` has been planned still
+    sees round ``r``'s arguments.
+    """
+
+    def __init__(
+        self,
+        points: RDD,
+        policy: BarrierPolicy,
+        ac: "ASYNCContext",
+        fraction: float | None = None,
+    ) -> None:
+        self.ac = ac
+        lineage = points.async_barrier(policy, ac.stat)
+        if fraction is not None:
+            lineage = lineage.sample(fraction)
+        #: ``(fraction, with_replacement)`` of the lineage's sample node.
+        self.sampling: tuple[float, bool] | None = (
+            None if fraction is None
+            else (lineage.fraction, lineage.with_replacement)
+        )
+        self.rdd = lineage.map(_round_kernel)
+        self.policy = find_barrier(self.rdd)
+        self._source = points.iterator
+
+    def blocks(self, seed: int) -> ElementSource:
+        """The round's block source: ``points`` row-sampled under ``seed``."""
+        source = self._source
+        if self.sampling is None:
+            return source
+        fraction, with_replacement = self.sampling
+
+        def blocks(split: int, env: WorkerEnv | None) -> list:
+            return sample_rows(
+                source(split, env), split, fraction, seed, with_replacement,
+                env,
+            )
+
+        return blocks
+
+    def submit(self, make_fn, granularity: str = "worker") -> list[int]:
+        """Submit one round of ``make_fn`` tasks under the plan's policy."""
+        return self.ac.scheduler.submit_round(
+            self.rdd, make_fn, self.policy, granularity
+        )
+
+    def reduce(
+        self,
+        kernel: Callable[[Any], Any],
+        seed: int,
+        f: Callable[[Any, Any], Any],
+        granularity: str = "worker",
+    ) -> list[int]:
+        """One ``map(kernel).async_reduce(f)`` round over the seed's sample."""
+        return self.submit(
+            _worker_reduce_factory(self.blocks(seed), f, kernel), granularity
+        )

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.cluster.backend import TaskMetrics, WorkerEnv
-from repro.core.policies import SchedulingPolicy, Target, as_policy
+from repro.core.policies import SchedulingPolicy, Target
 from repro.errors import SchedulerError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,6 +108,10 @@ class AsyncScheduler:
           the STAT table grows per-partition rows — the unit Hogwild-style
           and federated (local-update) methods schedule on.
 
+        ``policy`` must already be normalized
+        (:func:`~repro.core.policies.as_policy`); callers resolve it once,
+        not once per round.
+
         Returns the workers that received task(s) this round (possibly
         empty if the policy's filter excluded everyone).
         """
@@ -115,7 +119,6 @@ class AsyncScheduler:
             raise SchedulerError(
                 f"unknown submission granularity {granularity!r}"
             )
-        policy = as_policy(policy)
         ac = self.ac
         backend = ac.ctx.backend
         stat = ac.stat

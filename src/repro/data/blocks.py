@@ -119,21 +119,21 @@ class MatrixBlock:
 
 def stack_blocks(
     blocks: "list[MatrixBlock]",
-) -> tuple[Matrix, np.ndarray, np.ndarray]:
-    """Concatenate blocks row-wise for fused kernel execution.
+) -> tuple[list[Matrix], np.ndarray, np.ndarray]:
+    """Lay blocks out row-wise for fused kernel execution.
 
-    Returns ``(X, y, bounds)`` where rows ``bounds[i]:bounds[i+1]`` of the
-    stacked matrix are exactly block ``i``'s rows (same values, same
-    within-row storage order), so a kernel that operates on per-segment
-    row slices of the stack is bit-identical to per-block execution —
+    Returns ``(Xs, y, bounds)``: ``Xs`` is the blocks' own matrices (no
+    copy), ``y`` their targets concatenated, and ``bounds`` the row
+    offsets — rows ``bounds[i]:bounds[i+1]`` of ``y`` belong to block
+    ``i``. A kernel that runs its matvecs per block and its elementwise
+    middle over the whole ``y`` is bit-identical to per-block execution —
     the contract :meth:`repro.optim.problems.Problem.grad_sum_stacked`
-    relies on. Dense blocks stack with one ``np.concatenate``; CSR blocks
-    stack by concatenating ``data``/``indices`` and chaining the
-    (re-based) ``indptr`` segments, the inverse of :func:`split_matrix`.
-    Blocks must agree on density and column count.
+    relies on. Blocks must agree on density.
     """
     if not blocks:
         raise DataError("stack_blocks needs at least one block")
+    if any(b.is_sparse != blocks[0].is_sparse for b in blocks):
+        raise DataError("cannot stack dense and sparse blocks together")
     bounds = np.zeros(len(blocks) + 1, dtype=np.intp)
     np.cumsum([b.rows for b in blocks], out=bounds[1:])
     y = (
@@ -141,29 +141,7 @@ def stack_blocks(
         if len(blocks) == 1
         else np.concatenate([b.y for b in blocks])
     )
-    if any(b.is_sparse != blocks[0].is_sparse for b in blocks):
-        raise DataError("cannot stack dense and sparse blocks together")
-    if not blocks[0].is_sparse:
-        X = blocks[0].X if len(blocks) == 1 else np.concatenate(
-            [b.X for b in blocks]
-        )
-        return X, y, bounds
-    if len(blocks) == 1:
-        return blocks[0].X, y, bounds
-    data = np.concatenate([b.X.data for b in blocks])
-    indices = np.concatenate([b.X.indices for b in blocks])
-    indptr = np.zeros(int(bounds[-1]) + 1, dtype=np.int64)
-    nnz = 0
-    for b, lo in zip(blocks, bounds[:-1]):
-        bp = b.X.indptr
-        indptr[lo : lo + b.rows + 1] = bp.astype(np.int64) - int(bp[0]) + nnz
-        nnz += int(bp[-1]) - int(bp[0])
-    X = sparse.csr_matrix(
-        (data, indices, indptr),
-        shape=(int(bounds[-1]), blocks[0].dim),
-        copy=False,
-    )
-    return X, y, bounds
+    return [b.X for b in blocks], y, bounds
 
 
 def split_matrix(

@@ -22,7 +22,7 @@ from repro.utils.rng import spawn_generator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import ClusterContext
 
-__all__ = ["MatrixRDD", "SampledMatrixRDD", "StackedKernel"]
+__all__ = ["MatrixRDD", "SampledMatrixRDD", "StackedKernel", "sample_rows"]
 
 
 class StackedKernel:
@@ -56,6 +56,38 @@ class StackedKernel:
 
     def __call__(self, block: MatrixBlock) -> Any:
         return self.fn(block)
+
+
+def sample_rows(
+    blocks: list,
+    split: int,
+    fraction: float,
+    seed: int,
+    with_replacement: bool,
+    env: WorkerEnv | None,
+) -> list[MatrixBlock]:
+    """Row-subsample partition ``split``'s blocks (one mini-batch each).
+
+    Each block draws its rows from ``spawn_generator(seed, "mbatch",
+    split)`` and keeps them in sorted order; the sub-block's work volume
+    is advertised to the cost model under ``env``.
+    """
+    out = []
+    for block in blocks:
+        if not isinstance(block, MatrixBlock):
+            raise EngineError(
+                "row sampling requires MatrixBlock partitions, got "
+                f"{type(block).__name__}"
+            )
+        rng = spawn_generator(seed, "mbatch", split)
+        idx = np.sort(block.sample_indices(fraction, rng, with_replacement))
+        sub = block.take_rows(idx)
+        # The mini-batch is the work the downstream gradient kernel
+        # will do; advertise it to the cost model.
+        if env is not None:
+            env.record_cost(sub.cost_units())
+        out.append(sub)
+    return out
 
 
 class MatrixRDD(RDD):
@@ -130,25 +162,10 @@ class SampledMatrixRDD(RDD):
         self.is_matrix_like = True
 
     def compute(self, split: int, env: WorkerEnv | None) -> list:
-        out = []
-        for block in self.deps[0].iterator(split, env):
-            if not isinstance(block, MatrixBlock):
-                raise EngineError(
-                    "SampledMatrixRDD requires MatrixBlock partitions, got "
-                    f"{type(block).__name__}"
-                )
-            rng = spawn_generator(self.seed, "mbatch", split)
-            idx = block.sample_indices(
-                self.fraction, rng, self.with_replacement
-            )
-            idx = np.sort(idx)
-            sub = block.take_rows(idx)
-            # The mini-batch is the work the downstream gradient kernel
-            # will do; advertise it to the cost model.
-            if env is not None:
-                env.record_cost(sub.cost_units())
-            out.append(sub)
-        return out
+        return sample_rows(
+            self.deps[0].iterator(split, env), split, self.fraction,
+            self.seed, self.with_replacement, env,
+        )
 
     def sample(
         self, fraction: float, seed: int = 0, with_replacement: bool = False

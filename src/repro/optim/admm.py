@@ -31,7 +31,6 @@ from scipy import sparse
 
 from repro.api.registry import register_optimizer
 from repro.core.barriers import ASP
-from repro.core.ops import find_barrier
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import current_env, record_cost
 from repro.errors import OptimError
@@ -188,13 +187,10 @@ class ADMMRule(UpdateRule):
         return self.opt.ctx.broadcast(np.array(z, copy=True))
 
     def dispatch(self, handle, seed):
-        opt, ac = self.opt, self.loop.ac
-        gated = opt.points.async_barrier(opt.barrier, ac.stat)
+        opt = self.opt
         # Dispatch one locally-reducing ADMM task per eligible worker.
-        ac.scheduler.submit_round(
-            gated,
-            lambda w, splits, _z=handle: opt._worker_update_fn(_z, w, splits),
-            find_barrier(gated) or opt.barrier,
+        self.loop.plan.submit(
+            lambda w, splits, _z=handle: opt._worker_update_fn(_z, w, splits)
         )
 
     def apply(self, z, record, alpha):

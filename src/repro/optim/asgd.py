@@ -61,8 +61,8 @@ class ASGDRule(UpdateRule):
             )
 
         def batch(w, blocks):
-            X, y, bounds = stack_blocks(blocks)
-            grads = problem.grad_sum_stacked(X, y, w, bounds)
+            Xs, y, bounds = stack_blocks(blocks)
+            grads = problem.grad_sum_stacked(Xs, y, w, bounds)
             return [(g, b.rows) for g, b in zip(grads, blocks)]
 
         return StackedKernel(fn, lambda env: handle.value(env), batch)

@@ -54,6 +54,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.context import ASYNCContext
+from repro.core.ops import RoundPlan
 from repro.core.policies import as_policy
 from repro.optim.trace import ConvergenceTrace
 
@@ -125,7 +126,10 @@ class UpdateRule:
         raise NotImplementedError
 
     def sample_fraction(self) -> float | None:
-        """RDD-level mini-batch fraction; ``None`` if the kernel samples."""
+        """RDD-level mini-batch fraction; ``None`` if the kernel samples.
+
+        Read once per run, when the loop builds its round plan.
+        """
         return None
 
     def kernel(self, block, handle, seed: int):
@@ -153,14 +157,11 @@ class UpdateRule:
         return self.granularity or self.opt.config.granularity
 
     def dispatch(self, handle, seed: int) -> None:
-        """Submit one asynchronous round (policy -> sample -> map -> reduce)."""
-        opt = self.opt
-        gated = opt.points.async_barrier(self.loop.policy, self.loop.ac.stat)
-        frac = self.sample_fraction()
-        if frac is not None:
-            gated = gated.sample(frac, seed=seed)
-        gated.map(self.make_kernel(handle, seed)).async_reduce(
-            self.reduce, self.loop.ac, self.effective_granularity()
+        """Submit one asynchronous round (policy -> sample -> map -> reduce)
+        through the run's :class:`~repro.core.ops.RoundPlan`."""
+        self.loop.plan.reduce(
+            self.make_kernel(handle, seed), seed, self.reduce,
+            self.effective_granularity(),
         )
 
     # -- per-result hooks --------------------------------------------------------------
@@ -307,6 +308,15 @@ class ServerLoop:
         # run's ledger attached to its broadcast manager.
         opt.ctx.broadcast_manager.comm = self.comm
 
+    def bind(self) -> None:
+        """Bind the rule and build the run's round plan — the dispatch
+        lineage (barrier -> sample -> map) every round reuses."""
+        self.rule.bind(self)
+        self.plan = RoundPlan(
+            self.opt.points, self.policy, self.ac,
+            self.rule.sample_fraction(),
+        )
+
     def state_dict(self) -> dict:
         """JSON-safe checkpoint of the run's restartable server state."""
         return {
@@ -370,7 +380,7 @@ class ServerLoop:
 
         opt, rule, ac = self.opt, self.rule, self.ac
         cfg = opt.config
-        rule.bind(self)
+        self.bind()
 
         restore = self.restore_state
         full = restore if is_run_snapshot(restore) else None

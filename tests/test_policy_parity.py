@@ -5,12 +5,16 @@ spec routes through the new ``select``-based dispatch with bit-identical
 trajectories, and the four new policies are spec-addressable end to end.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.api import run_experiment
 from repro.api.registry import BARRIERS
+from repro.cluster.stragglers import ControlledDelay
 from repro.cluster.threadbackend import ThreadBackend
+from repro.core.barriers import ASP
 from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError
@@ -22,6 +26,11 @@ from repro.optim import (
 )
 
 CLASSIC_BARRIERS = ["asp", "bsp", "ssp:2", "frac:0.5", "ct:1.5"]
+
+# Model digest (w + snapshots) of the thread-backend ASP run with a
+# straggler below, captured on main @ 802daaf, before the dispatch
+# lineage moved into a once-per-run round plan.
+PINNED_THREAD_ASP_STRAGGLER = "7feee0ad253d1e9b34fc6b182cdc6e32"
 
 
 def _trajectory(result):
@@ -141,6 +150,33 @@ def test_thread_backend_parity(barrier):
     assert np.array_equal(
         np.asarray(a.trace.snapshots), np.asarray(b.trace.snapshots)
     )
+
+
+def test_thread_backend_asp_straggler_pinned():
+    """ASP on real threads with one heavy straggler: worker 1 holds its
+    first-round task for about a second while worker 0 streams every
+    update, so the trajectory is worker 0's alone and deterministic; the
+    straggler's result lands after the budget and is dropped."""
+    X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
+    problem = LeastSquaresProblem(X, y)
+    backend = ThreadBackend(
+        num_workers=2,
+        delay_model=ControlledDelay(500.0, workers=(1,)),
+        min_task_s=0.002,
+    )
+    with ClusterContext(2, backend=backend, seed=0) as ctx:
+        points = ctx.matrix(X, y, 4).cache()
+        res = AsyncSGD(
+            ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(2),
+            OptimizerConfig(batch_fraction=0.25, max_updates=16,
+                            eval_every=4, seed=0),
+            barrier=ASP(),
+        ).run()
+    assert res.updates == 16 and res.extras["collected"] == 17
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(np.asarray(res.w)).tobytes())
+    h.update(np.ascontiguousarray(np.asarray(res.trace.snapshots)).tobytes())
+    assert h.hexdigest()[:32] == PINNED_THREAD_ASP_STRAGGLER
 
 
 # -- spec-layer validation -----------------------------------------------------------

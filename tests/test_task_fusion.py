@@ -6,7 +6,7 @@ per-task path produces, update for update — ``fuse_tasks=False`` is the
 pinned escape hatch, and these tests are what pins it.
 
 Backend split: the simulation backend actually runs the fused host call
-(one ``grad_sum`` over the round's concatenated blocks) and replays
+(one stacked ``grad_sum`` over the round's per-block matrices) and replays
 per-task virtual timing at each task's own arrival; the thread backend
 accepts the same :class:`TaskBatch` but keeps genuine per-task execution
 — there the suite asserts value-level parity and that the fused dispatch
@@ -198,38 +198,69 @@ def test_thread_backend_fused_dispatch_end_to_end(granularity):
 
 # -- stacked kernel building blocks ------------------------------------------
 
+def _dense_and_csr(X):
+    from scipy import sparse
+
+    return [X, sparse.csr_matrix(X)]
+
+
 def test_stack_blocks_round_trips_segments():
+    """``stack_blocks`` hands back the blocks' own matrices (no copy) and
+    the concatenated targets cut at ``bounds``, dense and CSR alike."""
     from repro.data.blocks import split_matrix, stack_blocks
 
     rng = np.random.default_rng(0)
     X = rng.standard_normal((37, 5))
+    X[X < 0.3] = 0.0
     y = rng.standard_normal(37)
-    blocks = split_matrix(X, y, 4)
-    sx, sy, bounds = stack_blocks(blocks)
-    assert bounds[-1] == 37
-    for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-        assert np.array_equal(sx[lo:hi], block.X)
-        assert np.array_equal(sy[lo:hi], block.y)
+    for Xk in _dense_and_csr(X):
+        blocks = split_matrix(Xk, y, 4)
+        xs, sy, bounds = stack_blocks(blocks)
+        assert bounds[-1] == 37 and len(xs) == len(blocks)
+        for x, block, lo, hi in zip(xs, blocks, bounds[:-1], bounds[1:]):
+            assert x is block.X
+            assert hi - lo == block.rows
+            assert np.array_equal(sy[lo:hi], block.y)
 
 
 @pytest.mark.parametrize("problem_name", ["least_squares", "logistic"])
 def test_grad_sum_stacked_bitwise(problem_name):
+    """Over row-sampled sub-blocks (what fused rounds see), the stacked
+    kernel equals per-block ``grad_sum`` bit for bit, dense and CSR."""
     from repro.api.registry import PROBLEMS
     from repro.data.blocks import split_matrix, stack_blocks
 
     rng = np.random.default_rng(1)
     X = rng.standard_normal((64, 7))
+    X[X < -0.5] = 0.0
     y = (
         np.sign(rng.standard_normal(64))
         if problem_name == "logistic" else rng.standard_normal(64)
     )
-    problem = PROBLEMS.create(problem_name, defaults={"X": X, "y": y})
     w = rng.standard_normal(7)
-    blocks = split_matrix(X, y, 5)
-    sx, sy, bounds = stack_blocks(blocks)
-    stacked = problem.grad_sum_stacked(sx, sy, w, bounds)
-    for grad, block in zip(stacked, blocks):
-        assert np.array_equal(grad, problem.grad_sum(block.X, block.y, w))
+    for Xk in _dense_and_csr(X):
+        problem = PROBLEMS.create(problem_name, defaults={"X": Xk, "y": y})
+        blocks = [
+            b.take_rows(np.sort(rng.choice(b.rows, size=5, replace=False)))
+            for b in split_matrix(Xk, y, 5)
+        ]
+        xs, sy, bounds = stack_blocks(blocks)
+        stacked = problem.grad_sum_stacked(xs, sy, w, bounds)
+        assert len(stacked) == len(blocks)
+        for grad, block in zip(stacked, blocks):
+            assert np.array_equal(grad, problem.grad_sum(block.X, block.y, w))
+
+
+def test_stack_blocks_rejects_mixed_density():
+    from scipy import sparse
+
+    from repro.data.blocks import MatrixBlock, stack_blocks
+    from repro.errors import DataError
+
+    dense = MatrixBlock(X=np.ones((2, 3)), y=np.ones(2))
+    csr = MatrixBlock(X=sparse.csr_matrix(np.ones((2, 3))), y=np.ones(2))
+    with pytest.raises(DataError):
+        stack_blocks([dense, csr])
 
 
 # -- metrics retention ---------------------------------------------------------
